@@ -11,8 +11,8 @@
 //! ```
 //!
 //! Experiments: `tables` (tables 2–5 + scaling off one volume build),
-//! `table1` … `table5`, `net` (tape-vs-network crossover), `scaling`,
-//! `chaos`, `crash`, `degraded`, `concurrent_volumes`, `single_file_cost`,
+//! `table1`, `net` (tape-vs-network crossover), `chaos`, `crash`,
+//! `degraded`, `concurrent_volumes`, `single_file_cost`,
 //! `incremental_economics`, `ablation_fragmentation`,
 //! `ablation_readahead`.
 //!
@@ -137,20 +137,18 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     Ok(f)
 }
 
-/// The experiments `bench all` runs, with each one's standalone default
-/// scale (`None` = the experiment takes no scale).
-const ALL_MATRIX: &[(&str, Option<f64>)] = &[
-    ("tables", Some(1.0 / 32.0)),
-    ("net", Some(1.0 / 32.0)),
-    ("table1", None),
-    ("chaos", Some(1.0 / 1024.0)),
-    ("crash", None),
-    ("degraded", Some(1.0 / 1024.0)),
-    ("concurrent_volumes", Some(1.0 / 64.0)),
-    ("single_file_cost", Some(1.0 / 128.0)),
-    ("incremental_economics", Some(1.0 / 128.0)),
-    ("ablation_fragmentation", Some(1.0 / 128.0)),
-    ("ablation_readahead", Some(1.0 / 128.0)),
+/// The subcommands `bench all` runs after its `tables+net` job, each at
+/// its standalone default scale unless `--scale` overrides it.
+const ALL_MATRIX: &[&str] = &[
+    "table1",
+    "chaos",
+    "crash",
+    "degraded",
+    "concurrent_volumes",
+    "single_file_cost",
+    "incremental_economics",
+    "ablation_fragmentation",
+    "ablation_readahead",
 ];
 
 fn run_cfg(flags: &Flags, default_scale: f64) -> RunCfg {
@@ -174,29 +172,9 @@ fn experiment_job(name: &str, flags: &Flags) -> Option<Job> {
             job("tables", Box::new(move || runners::tables(&cfg)))
         }
         "table1" => job("table1", Box::new(runners::table1)),
-        "table2" => {
-            let cfg = run_cfg(flags, 1.0 / 32.0);
-            job("table2", Box::new(move || runners::table2(&cfg)))
-        }
-        "table3" => {
-            let cfg = run_cfg(flags, 1.0 / 32.0);
-            job("table3", Box::new(move || runners::table3(&cfg)))
-        }
-        "table4" => {
-            let cfg = run_cfg(flags, 1.0 / 32.0);
-            job("table4", Box::new(move || runners::table4(&cfg)))
-        }
-        "table5" => {
-            let cfg = run_cfg(flags, 1.0 / 32.0);
-            job("table5", Box::new(move || runners::table5(&cfg)))
-        }
         "net" => {
             let cfg = run_cfg(flags, 1.0 / 32.0);
             job("net", Box::new(move || runners::net(&cfg)))
-        }
-        "scaling" => {
-            let cfg = run_cfg(flags, 1.0 / 32.0);
-            job("scaling", Box::new(move || runners::scaling(&cfg)))
         }
         "degraded" => {
             let cfg = run_cfg(flags, 1.0 / 1024.0);
@@ -316,9 +294,19 @@ pub fn all_jobs(scale: Option<f64>, seed: Option<u64>, out_dir: &std::path::Path
         out_dir: out_dir.to_path_buf(),
         ..Flags::default()
     };
-    ALL_MATRIX
-        .iter()
-        .map(|(name, _)| experiment_job(name, &flags).expect("matrix entry"))
+    // `tables` and `net` render one suite: one job builds the volume
+    // once and writes both subcommands' files and stdout.
+    let cfg = run_cfg(&flags, 1.0 / 32.0);
+    let suite = Job {
+        label: "tables+net".to_string(),
+        run: Box::new(move || runners::tables_and_net(&cfg)),
+    };
+    std::iter::once(suite)
+        .chain(
+            ALL_MATRIX
+                .iter()
+                .map(|name| experiment_job(name, &flags).expect("matrix entry")),
+        )
         .collect()
 }
 

@@ -1,9 +1,11 @@
-//! The experiment runners behind each table binary.
+//! The paper's §5 pipeline: one functional pass, then every solve.
 //!
-//! Each runner executes the real backup engines against a built volume,
-//! re-scales the measured stage profiles to paper size, solves the fluid
-//! model for the requested drive configuration, and returns rows shaped
-//! like the paper's tables.
+//! [`prepare`] builds and ages the `home` volume, runs the real backup
+//! engines against it once, and keeps only what the solves read (a
+//! [`Prepared`]). [`Suite::compute`] re-scales those measured stage
+//! profiles to paper size and solves the fluid model for every drive
+//! configuration and link the tables report; `bench tables`, `bench net`
+//! and `bench explain` are views of one [`Suite`].
 
 use backup_core::logical::catalog::DumpCatalog;
 use backup_core::logical::dump::dump;
@@ -443,13 +445,8 @@ pub fn functional_runs(home: &mut BuiltVolume) -> FunctionalRuns {
 }
 
 /// Runs the single-drive experiments (Tables 2 and 3).
-pub fn run_basic(
-    home: &mut BuiltVolume,
-    runs: &FunctionalRuns,
-    model: &FilerModel,
-) -> BasicResults {
-    let factor = home.paper_factor();
-    let arms = home.profile.geometry.total_disks() as f64;
+pub fn run_basic(p: &Prepared, model: &FilerModel) -> BasicResults {
+    let (runs, factor, arms) = (&p.runs, p.factor, p.arms);
 
     let ld = simulate_op(
         "Logical Dump",
@@ -542,7 +539,7 @@ pub fn run_basic(
         logical_bytes,
         physical_bytes,
         files: (runs.files as f64 * factor) as u64,
-        frag: home.frag,
+        frag: p.frag,
         obs,
         trace_events,
         attribs,
@@ -608,15 +605,9 @@ fn merge_into_streams(
 /// Logical work is the volume's qtrees distributed over the drives (the
 /// paper's "4 equal sized independent pieces"); physical work is the image
 /// stream striped evenly.
-pub fn run_parallel(
-    home: &mut BuiltVolume,
-    runs: &FunctionalRuns,
-    model: &FilerModel,
-    n: usize,
-) -> ParallelResults {
+pub fn run_parallel(p: &Prepared, model: &FilerModel, n: usize) -> ParallelResults {
     assert!(n >= 1);
-    let factor = home.paper_factor();
-    let arms = home.profile.geometry.total_disks() as f64;
+    let (runs, factor, arms) = (&p.runs, p.factor, p.arms);
 
     // Logical: chain qtree dumps/restores onto n drives, dropping the
     // per-dump snapshot rows (the paper's parallel tables omit them too).
@@ -726,40 +717,85 @@ pub struct ScalePoint {
     pub per_tape: f64,
 }
 
-/// Sweeps drive counts for both strategies.
-pub fn run_scaling(
-    home: &mut BuiltVolume,
-    runs: &FunctionalRuns,
-    model: &FilerModel,
-) -> Vec<ScalePoint> {
-    let mut points = Vec::new();
-    for n in [1usize, 2, 4] {
-        let r = run_parallel(home, runs, model, n);
-        points.push(ScalePoint {
-            strategy: "logical",
-            drives: n,
-            gb_h: r.logical_gb_h,
-            per_tape: r.logical_gb_h / n as f64,
-        });
-    }
-    for n in 1..=6usize {
-        let r = run_parallel(home, runs, model, n);
-        points.push(ScalePoint {
-            strategy: "physical",
-            drives: n,
-            gb_h: r.physical_gb_h,
-            per_tape: r.physical_gb_h / n as f64,
-        });
-    }
-    points
+/// Everything the solves read from one built and exercised volume: the
+/// functional pass's measurements plus the three volume facts that
+/// re-scale and place them. Plain data — the file system itself is gone
+/// by the time a [`Prepared`] exists.
+pub struct Prepared {
+    /// The measured stage profiles, spans and trace events.
+    pub runs: FunctionalRuns,
+    /// Measurement → paper-size factor ([`BuiltVolume::paper_factor`]).
+    pub factor: f64,
+    /// Disk arms the solves share (every disk of the volume's geometry).
+    pub arms: f64,
+    /// Fragmentation of the aged source volume.
+    pub frag: f64,
 }
 
-/// Convenience: build `home` and run everything the single-volume tables
-/// need.
-pub fn prepare(scale: f64, seed: u64) -> (BuiltVolume, FunctionalRuns) {
+/// Builds `home` at `scale` and runs the functional pass every table
+/// needs, then drops the volume.
+pub fn prepare(scale: f64, seed: u64) -> Prepared {
     let mut home = build_home(scale, seed);
     let runs = functional_runs(&mut home);
-    (home, runs)
+    Prepared {
+        runs,
+        factor: home.paper_factor(),
+        arms: home.profile.geometry.total_disks() as f64,
+        frag: home.frag,
+    }
+}
+
+/// The most tape drives any table, sweep or scaling point uses.
+pub const MAX_DRIVES: usize = 6;
+
+/// Every solve the paper's tables, the network table and the sweeps
+/// report, computed once from one [`Prepared`]. The solves never touch
+/// obs state, so each obs artifact here carries the metrics snapshot
+/// [`prepare`] left behind.
+pub struct Suite {
+    /// The single-drive results (Tables 2 and 3).
+    pub basic: BasicResults,
+    /// The parallel results for 1..=[`MAX_DRIVES`] drives, in order
+    /// (read through [`Suite::parallel`]).
+    parallel: Vec<ParallelResults>,
+    /// The tape-vs-network table and link sweep.
+    pub net: NetResults,
+}
+
+impl Suite {
+    /// Solves every operation of `p` for each configuration.
+    pub fn compute(p: &Prepared, model: &FilerModel) -> Suite {
+        Suite {
+            basic: run_basic(p, model),
+            parallel: (1..=MAX_DRIVES)
+                .map(|n| run_parallel(p, model, n))
+                .collect(),
+            net: run_net(p, model),
+        }
+    }
+
+    /// The parallel results for `n` drives (1..=[`MAX_DRIVES`]).
+    pub fn parallel(&self, n: usize) -> &ParallelResults {
+        &self.parallel[n - 1]
+    }
+
+    /// The §5.3 scaling points: logical backup at 1, 2 and 4 drives (the
+    /// counts that split `home`'s four qtrees evenly), physical at every
+    /// drive count.
+    pub fn scaling(&self) -> Vec<ScalePoint> {
+        let point = |strategy, n: usize, gb_h: f64| ScalePoint {
+            strategy,
+            drives: n,
+            gb_h,
+            per_tape: gb_h / n as f64,
+        };
+        let logical = [1, 2, 4].map(|n| point("logical", n, self.parallel(n).logical_gb_h));
+        let physical = self
+            .parallel
+            .iter()
+            .map(|r| point("physical", r.n_drives, r.physical_gb_h));
+        logical.into_iter().chain(physical).collect()
+    }
 }
 
 /// The network links the crossover table and sweep evaluate, as
@@ -813,9 +849,8 @@ pub struct NetResults {
 /// the same functional pass the other tables use: the tape cells are
 /// the exact single-drive solves of [`run_basic`], the net cells swap
 /// the drive for a shared link via [`simulate_op_net`].
-pub fn run_net(home: &mut BuiltVolume, runs: &FunctionalRuns, model: &FilerModel) -> NetResults {
-    let factor = home.paper_factor();
-    let arms = home.profile.geometry.total_disks() as f64;
+pub fn run_net(p: &Prepared, model: &FilerModel) -> NetResults {
+    let (runs, factor, arms) = (&p.runs, p.factor, p.arms);
     let logical_bytes = (runs.logical_blocks as f64 * 4096.0 * factor) as u64;
     let physical_bytes = (runs.image_blocks as f64 * 4096.0 * factor) as u64;
 
@@ -905,17 +940,15 @@ pub fn run_net(home: &mut BuiltVolume, runs: &FunctionalRuns, model: &FilerModel
 mod tests {
     use super::*;
 
-    /// One shared tiny prepared volume for the shape tests (building it is
-    /// the expensive part).
-    fn prepared() -> (BuiltVolume, FunctionalRuns) {
-        prepare(1.0 / 1024.0, 7)
+    /// The suite over one tiny prepared volume, for the shape tests
+    /// (building it is the expensive part).
+    fn suite() -> Suite {
+        Suite::compute(&prepare(1.0 / 1024.0, 7), &FilerModel::f630())
     }
 
     #[test]
     fn paper_shape_holds_end_to_end() {
-        let (mut home, runs) = prepared();
-        let model = FilerModel::f630();
-        let basic = run_basic(&mut home, &runs, &model);
+        let basic = suite().basic;
 
         let get = |name: &str| {
             basic
@@ -985,9 +1018,7 @@ mod tests {
 
     #[test]
     fn obs_artifact_round_trips_and_covers_all_operations() {
-        let (mut home, runs) = prepared();
-        let basic = run_basic(&mut home, &runs, &FilerModel::f630());
-        let mut artifact = basic.obs;
+        let mut artifact = suite().basic.obs;
         artifact.experiment = "unit".into();
 
         // One root span per operation, plus the stage spans under them.
@@ -1055,8 +1086,7 @@ mod tests {
         // Tracing state is thread-local, so enabling here cannot leak into
         // the other tests.
         obs::event::enable(obs::event::EventConfig::default());
-        let (mut home, runs) = prepared();
-        let basic = run_basic(&mut home, &runs, &FilerModel::f630());
+        let basic = suite().basic;
         obs::event::disable();
 
         assert!(
@@ -1106,10 +1136,8 @@ mod tests {
 
     #[test]
     fn parallel_scaling_matches_the_paper() {
-        let (mut home, runs) = prepared();
-        let model = FilerModel::f630();
-        let one = run_parallel(&mut home, &runs, &model, 1);
-        let four = run_parallel(&mut home, &runs, &model, 4);
+        let suite = suite();
+        let (one, four) = (suite.parallel(1), suite.parallel(4));
 
         // Physical scales nearly linearly; logical saturates.
         let phys_speedup = four.physical_gb_h / one.physical_gb_h;

@@ -6,11 +6,11 @@
 //!               [--check FILE] [--scale F] [--seed N] [--out-dir DIR]
 //! ```
 //!
-//! The subcommand re-runs the requested experiments (one volume build,
-//! the same [`prepare`] pipeline the table runners use), folds the
-//! solver's binding records into [`obs::attrib`] reports, prints the
-//! per-stream bottleneck timelines, and writes the machine-readable
-//! artifacts:
+//! The subcommand computes one [`Suite`] (one volume build, the same
+//! [`prepare`] pipeline `bench tables` and `bench net` render), folds the
+//! solver's binding records into [`obs::attrib`] reports, and keeps the
+//! ones the target names: it prints their per-stream bottleneck
+//! timelines and writes the machine-readable artifacts:
 //!
 //! - `results/ATTRIB_<table>.json` per requested table (the `net`
 //!   target produces "table_net", per-cell `"<op> @ <target>"` labels),
@@ -38,64 +38,37 @@ use obs::OpAttribution;
 use obs::SweepReport;
 use simkit::units::fmt_duration;
 
-use crate::build::BuiltVolume;
 use crate::calibrate::FilerModel;
 use crate::claims;
 use crate::experiments::prepare;
-use crate::experiments::run_basic;
-use crate::experiments::run_net;
-use crate::experiments::run_parallel;
-use crate::experiments::FunctionalRuns;
+use crate::experiments::Suite;
 use crate::runners::RunCfg;
 
 /// Drive counts the crossover sweep evaluates (a superset of the
 /// parallel tables' 2 and 4 drives).
 pub const SWEEP_DRIVES: &[usize] = &[1, 2, 3, 4, 6];
 
-/// Which reports one `bench explain` invocation computes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Targets {
-    /// Single-drive attribution under the "table2" name.
-    pub table2: bool,
-    /// The same single-drive ops under the "table3" name.
-    pub table3: bool,
-    /// 2-drive parallel attribution.
-    pub table4: bool,
-    /// 4-drive parallel attribution.
-    pub table5: bool,
-    /// Tape-vs-network attribution ("table_net") plus the
-    /// link-bandwidth sweep ("net_sweep").
-    pub net: bool,
-    /// The drive-count sweep with crossover detection.
-    pub sweep: bool,
-}
-
-impl Targets {
-    /// Parses a target name (`table2`..`table5`, `net`, `sweep`, `all`).
-    pub fn parse(name: &str) -> Option<Targets> {
-        let mut t = Targets::default();
-        match name {
-            "table2" => t.table2 = true,
-            "table3" => t.table3 = true,
-            "table4" => t.table4 = true,
-            "table5" => t.table5 = true,
-            "net" => t.net = true,
-            "sweep" => t.sweep = true,
-            "all" => {
-                t = Targets {
-                    table2: true,
-                    table3: true,
-                    table4: true,
-                    table5: true,
-                    net: true,
-                    sweep: true,
-                }
-            }
-            _ => return None,
-        }
-        Some(t)
-    }
-}
+/// The reports each `bench explain` target prints, writes and checks.
+const TARGETS: &[(&str, &[&str])] = &[
+    ("table2", &["table2"]),
+    ("table3", &["table3"]),
+    ("table4", &["table4"]),
+    ("table5", &["table5"]),
+    ("net", &["table_net", "net_sweep"]),
+    ("sweep", &["sweep"]),
+    (
+        "all",
+        &[
+            "table2",
+            "table3",
+            "table4",
+            "table5",
+            "table_net",
+            "sweep",
+            "net_sweep",
+        ],
+    ),
+];
 
 /// Everything `bench explain` computes: attribution reports keyed by
 /// table name, plus the sweeps keyed by sweep name.
@@ -108,64 +81,52 @@ pub struct Reports {
     pub sweeps: BTreeMap<String, SweepReport>,
 }
 
-fn report(name: &str, ops: &[OpAttribution]) -> AttribReport {
-    AttribReport {
-        experiment: name.to_string(),
-        ops: ops.to_vec(),
-    }
-}
-
-/// Runs the drive-count sweep: every operation of the parallel
-/// experiment at each of [`SWEEP_DRIVES`].
-pub fn sweep(home: &mut BuiltVolume, runs: &FunctionalRuns, model: &FilerModel) -> SweepReport {
-    let points = SWEEP_DRIVES
-        .iter()
-        .map(|&n| SweepPoint {
-            param: n as f64,
-            ops: run_parallel(home, runs, model, n).attribs,
-        })
-        .collect();
-    SweepReport {
-        experiment: "sweep".to_string(),
-        param: "drives".to_string(),
-        points,
-    }
-}
-
-/// Computes the requested reports off one volume build — the same
-/// [`prepare`] → solve pipeline the table runners use, so attribution
-/// describes exactly the runs the tables report.
-pub fn compute(cfg: &RunCfg, want: Targets) -> Reports {
-    let model = FilerModel::f630();
-    let (mut home, runs) = prepare(cfg.scale, cfg.seed);
-    let mut tables = BTreeMap::new();
-    if want.table2 || want.table3 {
-        let basic = run_basic(&mut home, &runs, &model);
-        if want.table2 {
-            tables.insert("table2".to_string(), report("table2", &basic.attribs));
+impl Reports {
+    /// Every attribution report the suite's solves yield: tables 2–5
+    /// (tables 2 and 3 share the single-drive runs), the network table,
+    /// the drive-count sweep over [`SWEEP_DRIVES`] and the link sweep.
+    pub fn of(suite: &Suite) -> Reports {
+        let report = |name: &str, ops: &[OpAttribution]| {
+            (
+                name.to_string(),
+                AttribReport {
+                    experiment: name.to_string(),
+                    ops: ops.to_vec(),
+                },
+            )
+        };
+        let sweep = SweepReport {
+            experiment: "sweep".to_string(),
+            param: "drives".to_string(),
+            points: SWEEP_DRIVES
+                .iter()
+                .map(|&n| SweepPoint {
+                    param: n as f64,
+                    ops: suite.parallel(n).attribs.clone(),
+                })
+                .collect(),
+        };
+        Reports {
+            tables: BTreeMap::from([
+                report("table2", &suite.basic.attribs),
+                report("table3", &suite.basic.attribs),
+                report("table4", &suite.parallel(2).attribs),
+                report("table5", &suite.parallel(4).attribs),
+                ("table_net".to_string(), suite.net.table.clone()),
+            ]),
+            sweeps: BTreeMap::from([
+                ("sweep".to_string(), sweep),
+                ("net_sweep".to_string(), suite.net.sweep.clone()),
+            ]),
         }
-        if want.table3 {
-            tables.insert("table3".to_string(), report("table3", &basic.attribs));
-        }
     }
-    if want.table4 {
-        let r = run_parallel(&mut home, &runs, &model, 2);
-        tables.insert("table4".to_string(), report("table4", &r.attribs));
+
+    /// The subset whose table or sweep name is in `names`.
+    pub fn only(mut self, names: &[&str]) -> Reports {
+        self.tables.retain(|k, _| names.contains(&k.as_str()));
+        self.sweeps.retain(|k, _| names.contains(&k.as_str()));
+        self
     }
-    if want.table5 {
-        let r = run_parallel(&mut home, &runs, &model, 4);
-        tables.insert("table5".to_string(), report("table5", &r.attribs));
-    }
-    let mut sweeps = BTreeMap::new();
-    if want.net {
-        let r = run_net(&mut home, &runs, &model);
-        tables.insert("table_net".to_string(), r.table);
-        sweeps.insert("net_sweep".to_string(), r.sweep);
-    }
-    if want.sweep {
-        sweeps.insert("sweep".to_string(), sweep(&mut home, &runs, &model));
-    }
-    Reports { tables, sweeps }
 }
 
 fn fmt_utils(utils: &[(String, f64)]) -> String {
@@ -402,7 +363,7 @@ pub fn run(args: &[String]) -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    let Some(want) = Targets::parse(&target) else {
+    let Some(&(_, names)) = TARGETS.iter().find(|(t, _)| *t == target) else {
         eprintln!("bench explain: unknown target {target:?}");
         eprintln!("{USAGE}");
         return ExitCode::from(2);
@@ -429,7 +390,8 @@ pub fn run(args: &[String]) -> ExitCode {
         None => None,
     };
 
-    let reports = compute(&cfg, want);
+    let suite = Suite::compute(&prepare(cfg.scale, cfg.seed), &FilerModel::f630());
+    let reports = Reports::of(&suite).only(names);
     print!("{}", render(&reports));
     emit(&cfg.out_dir, &reports);
     emit_openmetrics(&cfg.out_dir, &reports);

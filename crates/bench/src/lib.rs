@@ -22,8 +22,7 @@
 //! with `bench all --jobs N` running the whole matrix on a deterministic
 //! thread pool ([`pool`]) — every experiment on a fresh thread with
 //! virgin thread-local obs state, outputs printed in submission order,
-//! so parallel artifacts are byte-identical to serial ones. (The old
-//! per-experiment binaries are gone; `bench <name>` is the only entry.)
+//! so parallel artifacts are byte-identical to serial ones.
 
 pub mod build;
 pub mod calibrate;

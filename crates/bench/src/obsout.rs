@@ -172,11 +172,6 @@ pub fn emit_to(dir: &std::path::Path, artifact: &obs::Artifact) {
     }
 }
 
-/// Writes the artifact under `results/` (the default output directory).
-pub fn emit(artifact: &obs::Artifact) {
-    emit_to(std::path::Path::new("results"), artifact);
-}
-
 /// Writes `<dir>/trace_<experiment>.json` — the Chrome/Perfetto trace
 /// for the artifact plus its timed events.
 pub fn emit_trace_to(dir: &std::path::Path, artifact: &obs::Artifact, events: &[TimedEvent]) {
@@ -193,9 +188,4 @@ pub fn emit_trace_to(dir: &std::path::Path, artifact: &obs::Artifact, events: &[
         Ok(()) => eprintln!("[obs] wrote {}", path.display()),
         Err(e) => eprintln!("[obs] could not write trace: {e}"),
     }
-}
-
-/// Writes `results/trace_<experiment>.json` (the default output directory).
-pub fn emit_trace(artifact: &obs::Artifact, events: &[TimedEvent]) {
-    emit_trace_to(std::path::Path::new("results"), artifact, events);
 }

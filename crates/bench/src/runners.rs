@@ -1,7 +1,6 @@
 //! Library entry points for every experiment the `bench` CLI exposes.
 //!
-//! Each runner is the body of what used to be a standalone binary in
-//! `src/bin/`: it executes the experiment, writes its artifacts under
+//! Each runner executes the experiment, writes its artifacts under
 //! `out_dir`, and **returns** its stdout text instead of printing it.
 //! That inversion is what makes the parallel runner deterministic: jobs
 //! run on fresh threads (virgin thread-local obs state, exactly like a
@@ -65,12 +64,11 @@ use crate::calibrate::FilerModel;
 use crate::calibrate::OpKind;
 use crate::calibrate::ResourceIds;
 use crate::experiments::prepare;
-use crate::experiments::run_basic;
-use crate::experiments::run_net;
-use crate::experiments::run_parallel;
-use crate::experiments::run_scaling;
 use crate::experiments::simulate_op;
 use crate::experiments::NetResults;
+use crate::experiments::Suite;
+use crate::explain;
+use crate::explain::Reports;
 use crate::obsout;
 use crate::tables::render_parallel_summary;
 use crate::tables::render_scaling;
@@ -95,172 +93,88 @@ const TABLE3_TITLE: &str = "Table 3: Dump and Restore Details (188 GB home, 1 DL
 const TABLE4_TITLE: &str = "Table 4: Parallel Backup and Restore Performance on 2 tape drives";
 const TABLE5_TITLE: &str = "Table 5: Parallel Backup and Restore Performance on 4 tape drives";
 
-/// Table 2 alone: single-drive backup/restore performance.
-pub fn table2(cfg: &RunCfg) -> String {
+/// The suite behind `bench tables` and `bench net`, with event tracing on
+/// for the functional pass so the obs artifacts carry their traces.
+fn traced_suite(cfg: &RunCfg) -> Suite {
     obs::event::enable(obs::event::EventConfig::default());
-    let (mut home, runs) = prepare(cfg.scale, cfg.seed);
-    let basic = run_basic(&mut home, &runs, &FilerModel::f630());
-    let out = render_table2(&basic);
-    let mut artifact = basic.obs;
-    artifact.experiment = "table2".into();
-    obsout::emit_to(&cfg.out_dir, &artifact);
-    obsout::emit_trace_to(&cfg.out_dir, &artifact, &basic.trace_events);
-    out
+    Suite::compute(&prepare(cfg.scale, cfg.seed), &FilerModel::f630())
 }
 
-/// Table 3 alone: single-drive stage details.
-pub fn table3(cfg: &RunCfg) -> String {
-    obs::event::enable(obs::event::EventConfig::default());
-    let (mut home, runs) = prepare(cfg.scale, cfg.seed);
-    let basic = run_basic(&mut home, &runs, &FilerModel::f630());
-    let out = render_stage_table(TABLE3_TITLE, &basic.table3, PAPER_TABLE3, false);
-    let mut artifact = basic.obs;
-    artifact.experiment = "table3".into();
-    obsout::emit_to(&cfg.out_dir, &artifact);
-    obsout::emit_trace_to(&cfg.out_dir, &artifact, &basic.trace_events);
-    out
-}
-
-/// Table 4 alone: parallel backup/restore on 2 drives.
-pub fn table4(cfg: &RunCfg) -> String {
-    obs::event::enable(obs::event::EventConfig::default());
-    let (mut home, runs) = prepare(cfg.scale, cfg.seed);
-    let r = run_parallel(&mut home, &runs, &FilerModel::f630(), 2);
-    let mut out = render_stage_table(TABLE4_TITLE, &r.rows, PAPER_TABLE4, true);
-    out.push_str(&render_parallel_summary(&r));
-    let mut artifact = r.obs;
-    artifact.experiment = "table4".into();
-    obsout::emit_to(&cfg.out_dir, &artifact);
-    obsout::emit_trace_to(&cfg.out_dir, &artifact, &[]);
-    out
-}
-
-/// Table 5 alone: parallel backup/restore on 4 drives.
-pub fn table5(cfg: &RunCfg) -> String {
-    obs::event::enable(obs::event::EventConfig::default());
-    let (mut home, runs) = prepare(cfg.scale, cfg.seed);
-    let r = run_parallel(&mut home, &runs, &FilerModel::f630(), 4);
-    let mut out = render_stage_table(TABLE5_TITLE, &r.rows, PAPER_TABLE5, true);
-    out.push_str(&render_parallel_summary(&r));
-    let mut artifact = r.obs;
-    artifact.experiment = "table5".into();
-    obsout::emit_to(&cfg.out_dir, &artifact);
-    obsout::emit_trace_to(&cfg.out_dir, &artifact, &[]);
-    out
-}
-
-/// The whole table 2–5 suite (plus the §5.3 scaling sweep) off **one**
-/// volume build and one functional pass. Emits the same artifacts the
-/// four standalone table runs would, byte for byte: the sims downstream
-/// of [`prepare`] never touch obs state, so every artifact sees the
-/// identical metrics snapshot regardless of which runner emitted it.
+/// The whole table 2–5 suite plus the §5.3 scaling sweep off one volume
+/// build (see [`tables_view`]).
 pub fn tables(cfg: &RunCfg) -> String {
-    obs::event::enable(obs::event::EventConfig::default());
-    let model = FilerModel::f630();
-    let (mut home, runs) = prepare(cfg.scale, cfg.seed);
+    tables_view(&traced_suite(cfg), &cfg.out_dir)
+}
 
-    let basic = run_basic(&mut home, &runs, &model);
-    let mut out = render_table2(&basic);
+/// The tape-vs-network crossover table (see [`net_view`]).
+pub fn net(cfg: &RunCfg) -> String {
+    net_view(&traced_suite(cfg), &cfg.out_dir)
+}
+
+/// `tables` then `net` off one volume build: the same stdout and files
+/// as the two subcommands run one after the other.
+pub fn tables_and_net(cfg: &RunCfg) -> String {
+    let suite = traced_suite(cfg);
+    let mut out = tables_view(&suite, &cfg.out_dir);
+    out.push_str(&net_view(&suite, &cfg.out_dir));
+    out
+}
+
+/// Renders tables 2–5 and the scaling sweep, and writes their obs and
+/// trace artifacts plus the `ATTRIB_*.json` reports `bench explain`
+/// writes for the same tables and the drive-count sweep. Tables 2 and 3
+/// are two views of the single-drive runs: both get an obs artifact
+/// (each has a committed baseline) but only table 2 a trace.
+pub fn tables_view(suite: &Suite, out_dir: &Path) -> String {
+    let basic = &suite.basic;
+    let (t4, t5) = (suite.parallel(2), suite.parallel(4));
+    let mut out = render_table2(basic);
     out.push_str(&render_stage_table(
         TABLE3_TITLE,
         &basic.table3,
         PAPER_TABLE3,
         false,
     ));
-    for name in ["table2", "table3"] {
-        let mut artifact = basic.obs.clone();
-        artifact.experiment = name.into();
-        obsout::emit_to(&cfg.out_dir, &artifact);
-        obsout::emit_trace_to(&cfg.out_dir, &artifact, &basic.trace_events);
+    for (title, paper, r) in [
+        (TABLE4_TITLE, PAPER_TABLE4, t4),
+        (TABLE5_TITLE, PAPER_TABLE5, t5),
+    ] {
+        out.push_str(&render_stage_table(title, &r.rows, paper, true));
+        out.push_str(&render_parallel_summary(r));
     }
-    let mut artifact = basic.obs.clone();
-    artifact.experiment = "all".into();
-    obsout::emit_to(&cfg.out_dir, &artifact);
+    out.push_str(&render_scaling(&suite.scaling()));
 
-    let t4 = run_parallel(&mut home, &runs, &model, 2);
-    out.push_str(&render_stage_table(
-        TABLE4_TITLE,
-        &t4.rows,
-        PAPER_TABLE4,
-        true,
-    ));
-    out.push_str(&render_parallel_summary(&t4));
-    let mut artifact = t4.obs;
-    artifact.experiment = "table4".into();
-    obsout::emit_to(&cfg.out_dir, &artifact);
-    obsout::emit_trace_to(&cfg.out_dir, &artifact, &[]);
-
-    let t5 = run_parallel(&mut home, &runs, &model, 4);
-    out.push_str(&render_stage_table(
-        TABLE5_TITLE,
-        &t5.rows,
-        PAPER_TABLE5,
-        true,
-    ));
-    out.push_str(&render_parallel_summary(&t5));
-    let mut artifact = t5.obs;
-    artifact.experiment = "table5".into();
-    obsout::emit_to(&cfg.out_dir, &artifact);
-    obsout::emit_trace_to(&cfg.out_dir, &artifact, &[]);
-
-    let points = run_scaling(&mut home, &runs, &model);
-    out.push_str(&render_scaling(&points));
-
-    // Attribution artifacts, uniformly with the obs artifacts above:
-    // the same `ATTRIB_*.json` reports `bench explain` writes, emitted
-    // here too so the parallel-determinism net covers them on every
-    // `bench all`. Extra sims only — attribution never touches obs
-    // state, so the tables and artifacts above are unaffected.
-    let mut attrib_tables = std::collections::BTreeMap::new();
-    for name in ["table2", "table3"] {
-        attrib_tables.insert(
-            name.to_string(),
-            obs::AttribReport {
-                experiment: name.to_string(),
-                ops: basic.attribs.clone(),
-            },
-        );
+    let named = |artifact: &obs::Artifact, name: &str| obs::Artifact {
+        experiment: name.into(),
+        ..artifact.clone()
+    };
+    let table2 = named(&basic.obs, "table2");
+    obsout::emit_to(out_dir, &table2);
+    obsout::emit_trace_to(out_dir, &table2, &basic.trace_events);
+    obsout::emit_to(out_dir, &named(&basic.obs, "table3"));
+    for (name, r) in [("table4", t4), ("table5", t5)] {
+        let artifact = named(&r.obs, name);
+        obsout::emit_to(out_dir, &artifact);
+        obsout::emit_trace_to(out_dir, &artifact, &[]);
     }
-    attrib_tables.insert(
-        "table4".to_string(),
-        obs::AttribReport {
-            experiment: "table4".to_string(),
-            ops: t4.attribs,
-        },
-    );
-    attrib_tables.insert(
-        "table5".to_string(),
-        obs::AttribReport {
-            experiment: "table5".to_string(),
-            ops: t5.attribs,
-        },
-    );
-    let sweep = crate::explain::sweep(&mut home, &runs, &model);
-    crate::explain::emit(
-        &cfg.out_dir,
-        &crate::explain::Reports {
-            tables: attrib_tables,
-            sweeps: [("sweep".to_string(), sweep)].into_iter().collect(),
-        },
+    explain::emit(
+        out_dir,
+        &Reports::of(suite).only(&["table2", "table3", "table4", "table5", "sweep"]),
     );
     out
 }
 
-/// The tape-vs-network crossover table: every operation against a DLT
-/// drive and each preset link, with per-cell bottleneck attribution and
-/// the link-bandwidth sweep's detected crossovers.
-pub fn net(cfg: &RunCfg) -> String {
-    obs::event::enable(obs::event::EventConfig::default());
-    let (mut home, runs) = prepare(cfg.scale, cfg.seed);
-    let r = run_net(&mut home, &runs, &FilerModel::f630());
-    let out = render_net(&r);
-    obsout::emit_to(&cfg.out_dir, &r.obs);
-    for w in [r.table.write(&cfg.out_dir), r.sweep.write(&cfg.out_dir)] {
-        match w {
-            Ok(p) => eprintln!("[bench] wrote {}", p.display()),
-            Err(e) => eprintln!("[bench] could not write attribution artifact: {e}"),
-        }
-    }
+/// Renders every operation against a DLT drive and each preset link,
+/// with per-cell bottleneck attribution and the link-bandwidth sweep's
+/// detected crossovers, and writes the table's obs artifact and its two
+/// `ATTRIB_*.json` reports.
+pub fn net_view(suite: &Suite, out_dir: &Path) -> String {
+    let out = render_net(&suite.net);
+    obsout::emit_to(out_dir, &suite.net.obs);
+    explain::emit(
+        out_dir,
+        &Reports::of(suite).only(&["table_net", "net_sweep"]),
+    );
     out
 }
 
@@ -319,13 +233,6 @@ fn render_net(r: &NetResults) -> String {
         let _ = writeln!(w, "no crossovers detected along the link sweep");
     }
     out
-}
-
-/// The §5.3 scaling sweep alone (no artifacts).
-pub fn scaling(cfg: &RunCfg) -> String {
-    let (mut home, runs) = prepare(cfg.scale, cfg.seed);
-    let points = run_scaling(&mut home, &runs, &FilerModel::f630());
-    render_scaling(&points)
 }
 
 /// Table 1: block states for incremental image dump (fixed tiny volume,

@@ -127,11 +127,6 @@ pub fn render_table2(basic: &BasicResults) -> String {
     out
 }
 
-/// Prints Table 2 with measured and paper columns.
-pub fn print_table2(basic: &BasicResults) {
-    print!("{}", render_table2(basic));
-}
-
 /// Renders a stage table (Tables 3–5) with the paper's numbers alongside.
 pub fn render_stage_table(
     title: &str,
@@ -209,16 +204,6 @@ pub fn render_stage_table(
     out
 }
 
-/// Prints a stage table (Tables 3–5) with the paper's numbers alongside.
-pub fn print_stage_table(
-    title: &str,
-    rows: &[StageRow],
-    paper: &[(&str, &str, f64, f64)],
-    show_rates: bool,
-) {
-    print!("{}", render_stage_table(title, rows, paper, show_rates));
-}
-
 /// Renders the parallel summary line (the §5.2 totals).
 pub fn render_parallel_summary(r: &ParallelResults) -> String {
     use std::fmt::Write as _;
@@ -246,11 +231,6 @@ pub fn render_parallel_summary(r: &ParallelResults) -> String {
         fmt_duration(r.physical_restore_elapsed)
     );
     out
-}
-
-/// Prints the parallel summary line (the §5.2 totals).
-pub fn print_parallel_summary(r: &ParallelResults) {
-    print!("{}", render_parallel_summary(r));
 }
 
 /// Renders the scaling sweep (§5.3 / the summary "figure").
@@ -282,11 +262,6 @@ pub fn render_scaling(points: &[ScalePoint]) -> String {
         "paper anchors: physical 30.3 GB/h @1 drive -> 110 @4; logical 25.4 @1 -> 69.6 @4"
     );
     out
-}
-
-/// Prints the scaling sweep (§5.3 / the summary "figure").
-pub fn print_scaling(points: &[ScalePoint]) {
-    print!("{}", render_scaling(points));
 }
 
 #[cfg(test)]

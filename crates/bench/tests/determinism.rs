@@ -23,8 +23,7 @@ fn one_run(seed: u64, traced: bool) -> (String, String, String) {
     } else {
         obs::event::disable();
     }
-    let (mut home, runs) = prepare(1.0 / 1024.0, seed);
-    let basic = run_basic(&mut home, &runs, &FilerModel::f630());
+    let basic = run_basic(&prepare(1.0 / 1024.0, seed), &FilerModel::f630());
     obs::event::disable();
     let table = render_table2(&basic);
     let mut artifact = basic.obs;

@@ -5,21 +5,19 @@
 //! checked-in `claims.toml` must pass against a real run — the same
 //! gate CI enforces, at test scale.
 
+use bench::calibrate::FilerModel;
 use bench::claims;
-use bench::explain;
-use bench::runners::RunCfg;
+use bench::experiments::prepare;
+use bench::experiments::Suite;
+use bench::explain::Reports;
 
 const SCALE: f64 = 1.0 / 1024.0;
 const SEED: u64 = 1999;
 
 #[test]
 fn explain_matches_the_paper_and_the_claims_gate() {
-    let cfg = RunCfg {
-        scale: SCALE,
-        seed: SEED,
-        out_dir: std::env::temp_dir(),
-    };
-    let reports = explain::compute(&cfg, explain::Targets::parse("all").expect("target"));
+    let suite = Suite::compute(&prepare(SCALE, SEED), &FilerModel::f630());
+    let reports = Reports::of(&suite);
 
     // The headline attribution: the single-drive physical dump binds on
     // the tape, nearly wall to wall.

@@ -53,7 +53,7 @@ fn all_matrix_is_byte_identical_serial_vs_parallel() {
     let (wide_out, wide_files) = run_matrix("wide", 8);
 
     assert!(
-        !serial_out.is_empty() && serial_out.contains("===== bench tables ====="),
+        !serial_out.is_empty() && serial_out.contains("===== bench tables+net ====="),
         "serial run produced no banner output"
     );
     assert_eq!(serial_out, wide_out, "stdout must not depend on --jobs");
@@ -65,12 +65,13 @@ fn all_matrix_is_byte_identical_serial_vs_parallel() {
         serial_files.contains_key("obs_table2.json"),
         "expected table artifacts in {serial_names:?}"
     );
-    // The tables job emits trace and attribution artifacts uniformly for
-    // every table (plus the drive-count sweep); their byte-identity
-    // across --jobs is asserted by the loop below like any other file.
+    // The tables+net job emits a trace for every distinct table run
+    // (table 3 is a view of table 2's runs) and attribution for every
+    // table and both sweeps; their byte-identity across --jobs is
+    // asserted by the loop below like any other file.
     for name in [
+        "obs_table3.json",
         "trace_table2.json",
-        "trace_table3.json",
         "trace_table4.json",
         "trace_table5.json",
         "ATTRIB_table2.json",
@@ -85,6 +86,12 @@ fn all_matrix_is_byte_identical_serial_vs_parallel() {
         assert!(
             serial_files.contains_key(name),
             "missing {name} in {serial_names:?}"
+        );
+    }
+    for name in ["obs_all.json", "trace_table3.json"] {
+        assert!(
+            !serial_files.contains_key(name),
+            "{name} duplicates another artifact"
         );
     }
     for (name, bytes) in &serial_files {

@@ -1,6 +1,6 @@
-//! Tape-side [`Media`] implementations.
+//! Tape-side [`simkit::media::Media`] implementations.
 //!
-//! The [`Media`] trait itself now lives in [`simkit::media`] (the `net`
+//! The trait itself lives in [`simkit::media`] (the `net`
 //! crate implements the same trait for network replication targets);
 //! this module keeps the tape implementations: [`crate::drive::TapeDrive`]
 //! directly (call sites passing `&mut drive` coerce unchanged), the chaos
@@ -19,11 +19,6 @@ use simkit::media::MediaStats;
 use crate::drive::TapeDrive;
 use crate::drive::TapePerf;
 use crate::record::Record;
-
-/// The hoisted trait under its historical path. New code should import
-/// [`simkit::media::Media`] directly.
-#[deprecated(note = "the Media trait moved to simkit::media; import it from there")]
-pub use simkit::media::Media;
 
 impl simkit::media::Media for TapeDrive {
     fn write_record(&mut self, record: Record) -> Result<(), MediaError> {
