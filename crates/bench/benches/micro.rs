@@ -134,6 +134,76 @@ fn bench_wafl_write_path() {
     );
 }
 
+/// A formatted volume with `files` one-block files in the root directory.
+fn small_fs(files: u64) -> Wafl {
+    let vol = Volume::new(VolumeGeometry::uniform(1, 4, 16384, DiskPerf::ideal()));
+    let mut fs = Wafl::format(vol, WaflConfig::default()).unwrap();
+    for i in 0..files {
+        let ino = fs
+            .create(
+                INO_ROOT,
+                &format!("f{i:05}"),
+                FileType::File,
+                Attrs::default(),
+            )
+            .unwrap();
+        fs.write_fbn(ino, 0, Block::Synthetic(i)).unwrap();
+    }
+    fs.cp().unwrap();
+    fs
+}
+
+/// Per-operation wafl costs on one long-lived volume, so consistency
+/// points and NVRAM upkeep are amortized as in a workload build.
+fn bench_wafl_ops() {
+    let mut fs = small_fs(1000);
+    let mut seed = 0u64;
+    bench(
+        "wafl/create_write_remove",
+        || (),
+        |_| {
+            let ino = fs
+                .create(INO_ROOT, "scratch", FileType::File, Attrs::default())
+                .unwrap();
+            for fbn in 0..4 {
+                seed += 1;
+                fs.write_fbn(ino, fbn, Block::Synthetic(seed)).unwrap();
+            }
+            fs.remove(INO_ROOT, "scratch").unwrap();
+        },
+    );
+    let ino = fs
+        .create(INO_ROOT, "target", FileType::File, Attrs::default())
+        .unwrap();
+    let mut fbn = 0u64;
+    bench(
+        "wafl/write_fbn",
+        || (),
+        |_| {
+            fbn = (fbn + 1) % 256;
+            seed += 1;
+            fs.write_fbn(ino, fbn, Block::Synthetic(seed)).unwrap();
+        },
+    );
+}
+
+fn bench_obs_counter() {
+    // A few neighbours, so the lookup does not hit a one-entry registry.
+    for name in [
+        "disk.seq_read.ops",
+        "disk.seq_read.bytes",
+        "disk.rand_read.bytes",
+        "tape.write.records",
+    ] {
+        obs::counter(name).inc();
+    }
+    bench(
+        "obs/counter_inc",
+        || (),
+        |_| obs::counter("disk.rand_read.ops").inc(),
+    );
+}
+
 fn bench_fluid_solver() {
     bench(
         "fluid/16_streams_3_stages",
@@ -182,6 +252,8 @@ fn main() {
     bench_block_algebra();
     bench_raid_write();
     bench_wafl_write_path();
+    bench_wafl_ops();
+    bench_obs_counter();
     bench_fluid_solver();
     bench_dump_format();
 }

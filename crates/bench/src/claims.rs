@@ -159,7 +159,7 @@ impl RawClaim {
     }
 
     fn require(&mut self, key: &str) -> Result<String, ClaimsError> {
-        self.take(key).ok_or(ClaimsError::Parse {
+        self.take(key).ok_or_else(|| ClaimsError::Parse {
             line: self.line,
             reason: format!("claim is missing `{key}`"),
         })

@@ -185,14 +185,13 @@ impl SimDisk {
         *last = Some(bno);
         sequential
     }
-}
 
-impl BlockDevice for SimDisk {
-    fn nblocks(&self) -> u64 {
-        self.blocks.len() as u64
-    }
-
-    fn read(&mut self, bno: Bno) -> Result<Block, DevError> {
+    /// One simulated read of `bno` without the payload: range check, fault
+    /// draw, seq/rand classification, [`DeviceStats`], obs counters,
+    /// service time and trace event. [`BlockDevice::read`] is this plus the
+    /// payload copy; callers that would drop the payload (the RAID-4
+    /// old-data read while parity is lazy) call this instead.
+    pub fn read_access(&mut self, bno: Bno) -> Result<(), DevError> {
         self.check(bno)?;
         match self.faults.read_outcome(bno) {
             FaultOutcome::Clean => {}
@@ -220,6 +219,17 @@ impl BlockDevice for SimDisk {
             obs::event::emit(obs::event::EventKind::BlockRead, bytes, service);
             obs::histogram("disk.service_secs").record(service);
         }
+        Ok(())
+    }
+}
+
+impl BlockDevice for SimDisk {
+    fn nblocks(&self) -> u64 {
+        self.blocks.len() as u64
+    }
+
+    fn read(&mut self, bno: Bno) -> Result<Block, DevError> {
+        self.read_access(bno)?;
         let block = self.blocks[bno as usize].clone();
         Ok(self.faults.maybe_corrupt(bno, block))
     }

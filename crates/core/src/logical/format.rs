@@ -525,9 +525,10 @@ impl DumpRecord {
                 let mut entries = Vec::with_capacity(n);
                 for _ in 0..n {
                     let child = pr.u32()?;
-                    let kind = FileType::from_tag(pr.u8()?).ok_or(DumpError::BadRecord {
-                        reason: "bad entry kind".into(),
-                    })?;
+                    let kind =
+                        FileType::from_tag(pr.u8()?).ok_or_else(|| DumpError::BadRecord {
+                            reason: "bad entry kind".into(),
+                        })?;
                     let name = pr.name()?;
                     entries.push(DirEntry {
                         name,

@@ -118,11 +118,7 @@ pub fn restore_to_foreign(drive: &mut dyn Media) -> Result<ForeignRestore, DumpE
         }
     }
 
-    let (root_attrs, _) = head
-        .dirs
-        .get(&head.root_ino)
-        .cloned()
-        .unwrap_or((wafl::types::Attrs::default(), Vec::new()));
+    let (root_attrs, _) = head.dirs.get(&head.root_ino).cloned().unwrap_or_default();
     let mut root = ForeignNode::new_dir(root_attrs.perm, root_attrs.uid, root_attrs.gid);
 
     fn insert_at<'a>(

@@ -78,7 +78,7 @@ pub(crate) struct StreamHead {
 /// record.
 pub(crate) fn read_stream_head(drive: &mut dyn Media) -> Result<StreamHead, DumpError> {
     drive.rewind();
-    let first = next_record(drive, &mut Vec::new())?.ok_or(DumpError::BadStream {
+    let first = next_record(drive, &mut Vec::new())?.ok_or_else(|| DumpError::BadStream {
         reason: "empty tape".into(),
     })?;
     let (root_ino, level) = match first {

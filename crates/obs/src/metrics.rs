@@ -3,8 +3,14 @@
 //! The registry is thread-local, which gives two properties the simulator
 //! wants for free: zero synchronization on the hot path (every modelled
 //! disk IO bumps a counter), and isolation between tests running on
-//! separate threads. Handles are `Copy` and keyed by `&'static str`, so
-//! instrumentation sites pay one map lookup and no allocation.
+//! separate threads. Handles are `Copy` and keyed by `&'static str`.
+//!
+//! An update finds its slot by the *address* of the name: one probe of a
+//! small open-addressed table, no string comparison and no allocation.
+//! The first time an address is seen the name itself is looked up, so two
+//! equal strings at different addresses still share one metric. A
+//! name-ordered index serves [`snapshot`], [`typed_snapshot`] and every
+//! artifact built from them.
 //!
 //! Counters only go up; gauges are arbitrary `f64` accumulators (used for
 //! modelled busy-seconds, where a "count" is the wrong shape).
@@ -12,11 +18,128 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Registry {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
+    counters: Slots<u64>,
+    gauges: Slots<f64>,
     histograms: BTreeMap<&'static str, HistData>,
+}
+
+impl Registry {
+    const fn new() -> Registry {
+        Registry {
+            counters: Slots::new(),
+            gauges: Slots::new(),
+            histograms: BTreeMap::new(),
+        }
+    }
+}
+
+/// One `(name address, name length) → slot` entry; address 0 marks an
+/// empty entry (a `&str` pointer is never null).
+#[derive(Debug, Clone, Copy)]
+struct AddrEntry {
+    addr: usize,
+    len: usize,
+    slot: usize,
+}
+
+const EMPTY: AddrEntry = AddrEntry {
+    addr: 0,
+    len: 0,
+    slot: 0,
+};
+
+/// The values of one metric kind, found by name address on the hot path
+/// and by name otherwise.
+#[derive(Debug)]
+struct Slots<V> {
+    values: Vec<V>,
+    /// Name → slot, in name order: the fallback for a new address and
+    /// the order snapshots read.
+    by_name: BTreeMap<&'static str, usize>,
+    /// Open-addressed with linear probing; the length is zero or a power
+    /// of two at most half full.
+    by_addr: Vec<AddrEntry>,
+    addrs: usize,
+}
+
+impl<V: Copy + Default> Slots<V> {
+    const fn new() -> Slots<V> {
+        Slots {
+            values: Vec::new(),
+            by_name: BTreeMap::new(),
+            by_addr: Vec::new(),
+            addrs: 0,
+        }
+    }
+
+    /// The entry for (`addr`, `len`), or the empty entry where it would go.
+    fn probe(&self, addr: usize, len: usize) -> usize {
+        let mask = self.by_addr.len() - 1;
+        let mut i = (addr ^ len)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(32)
+            & mask;
+        loop {
+            let e = self.by_addr[i];
+            if e.addr == 0 || (e.addr == addr && e.len == len) {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn find(&self, name: &str) -> Option<usize> {
+        if self.by_addr.is_empty() {
+            return None;
+        }
+        let e = self.by_addr[self.probe(name.as_ptr() as usize, name.len())];
+        (e.addr != 0).then_some(e.slot)
+    }
+
+    /// The value slot of `name`, created (zeroed) on first use.
+    fn slot(&mut self, name: &'static str) -> &mut V {
+        let i = match self.find(name) {
+            Some(i) => i,
+            None => self.insert(name),
+        };
+        &mut self.values[i]
+    }
+
+    #[cold]
+    fn insert(&mut self, name: &'static str) -> usize {
+        if 2 * (self.addrs + 1) > self.by_addr.len() {
+            let grown = vec![EMPTY; (2 * self.by_addr.len()).max(64)];
+            let old = std::mem::replace(&mut self.by_addr, grown);
+            for e in old.into_iter().filter(|e| e.addr != 0) {
+                let i = self.probe(e.addr, e.len);
+                self.by_addr[i] = e;
+            }
+        }
+        let next = self.values.len();
+        let slot = *self.by_name.entry(name).or_insert(next);
+        if slot == next {
+            self.values.push(V::default());
+        }
+        let (addr, len) = (name.as_ptr() as usize, name.len());
+        let i = self.probe(addr, len);
+        self.by_addr[i] = AddrEntry { addr, len, slot };
+        self.addrs += 1;
+        slot
+    }
+
+    /// Current value of `name`, if it was ever touched.
+    fn get(&self, name: &str) -> Option<V> {
+        self.find(name)
+            .or_else(|| self.by_name.get(name).copied())
+            .map(|i| self.values[i])
+    }
+
+    /// `(name, value)` pairs in name order.
+    fn iter(&self) -> impl Iterator<Item = (&'static str, V)> + '_ {
+        self.by_name.iter().map(|(k, &i)| (*k, self.values[i]))
+    }
 }
 
 #[derive(Debug, Default, Clone)]
@@ -28,7 +151,7 @@ struct HistData {
 }
 
 thread_local! {
-    static REGISTRY: RefCell<Registry> = RefCell::new(Registry::default());
+    static REGISTRY: RefCell<Registry> = const { RefCell::new(Registry::new()) };
 }
 
 /// Handle to a named monotonic counter.
@@ -38,9 +161,7 @@ pub struct Counter(&'static str);
 impl Counter {
     /// Adds `n` to the counter.
     pub fn add(&self, n: u64) {
-        REGISTRY.with(|r| {
-            *r.borrow_mut().counters.entry(self.0).or_insert(0) += n;
-        });
+        REGISTRY.with(|r| *r.borrow_mut().counters.slot(self.0) += n);
     }
 
     /// Adds one.
@@ -50,7 +171,7 @@ impl Counter {
 
     /// Current value (0 if never touched).
     pub fn get(&self) -> u64 {
-        REGISTRY.with(|r| r.borrow().counters.get(self.0).copied().unwrap_or(0))
+        REGISTRY.with(|r| r.borrow().counters.get(self.0).unwrap_or(0))
     }
 
     /// The registry key.
@@ -66,21 +187,17 @@ pub struct Gauge(&'static str);
 impl Gauge {
     /// Adds `v` (may be negative).
     pub fn add(&self, v: f64) {
-        REGISTRY.with(|r| {
-            *r.borrow_mut().gauges.entry(self.0).or_insert(0.0) += v;
-        });
+        REGISTRY.with(|r| *r.borrow_mut().gauges.slot(self.0) += v);
     }
 
     /// Overwrites the value.
     pub fn set(&self, v: f64) {
-        REGISTRY.with(|r| {
-            r.borrow_mut().gauges.insert(self.0, v);
-        });
+        REGISTRY.with(|r| *r.borrow_mut().gauges.slot(self.0) = v);
     }
 
     /// Current value (0.0 if never touched).
     pub fn get(&self) -> f64 {
-        REGISTRY.with(|r| r.borrow().gauges.get(self.0).copied().unwrap_or(0.0))
+        REGISTRY.with(|r| r.borrow().gauges.get(self.0).unwrap_or(0.0))
     }
 
     /// The registry key.
@@ -247,8 +364,8 @@ pub fn snapshot() -> MetricsSnapshot {
             let mut readings: Vec<(String, f64)> = r
                 .counters
                 .iter()
-                .map(|(k, v)| (k.to_string(), *v as f64))
-                .chain(r.gauges.iter().map(|(k, v)| (k.to_string(), *v)))
+                .map(|(k, v)| (k.to_string(), v as f64))
+                .chain(r.gauges.iter().map(|(k, v)| (k.to_string(), v)))
                 .collect();
             readings.sort_by(|a, b| a.0.cmp(&b.0));
             readings
@@ -280,19 +397,15 @@ pub fn typed_snapshot() -> TypedSnapshot {
     REGISTRY.with(|r| {
         let r = r.borrow();
         TypedSnapshot {
-            counters: r
-                .counters
-                .iter()
-                .map(|(k, v)| (k.to_string(), *v))
-                .collect(),
-            gauges: r.gauges.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
+            counters: r.counters.iter().map(|(k, v)| (k.to_string(), v)).collect(),
+            gauges: r.gauges.iter().map(|(k, v)| (k.to_string(), v)).collect(),
         }
     })
 }
 
 /// Clears every metric on this thread (test isolation).
 pub fn reset() {
-    REGISTRY.with(|r| *r.borrow_mut() = Registry::default());
+    REGISTRY.with(|r| *r.borrow_mut() = Registry::new());
 }
 
 #[cfg(test)]
@@ -343,6 +456,77 @@ mod tests {
         assert_eq!(counter("x").get(), 0);
         assert!(snapshot().readings.is_empty());
         assert!(histogram_snapshots().is_empty());
+    }
+
+    #[test]
+    fn equal_names_at_different_addresses_share_one_metric() {
+        reset();
+        let leaked: &'static str = Box::leak(String::from("test.shared").into_boxed_str());
+        assert_ne!(leaked.as_ptr(), "test.shared".as_ptr());
+        counter("test.shared").add(2);
+        counter(leaked).add(3);
+        assert_eq!(counter("test.shared").get(), 5);
+        assert_eq!(counter(leaked).get(), 5);
+        gauge(leaked).add(0.5);
+        assert_eq!(
+            snapshot().readings,
+            vec![
+                ("test.shared".to_string(), 5.0),
+                ("test.shared".to_string(), 0.5)
+            ]
+        );
+        assert_eq!(
+            typed_snapshot().counters,
+            vec![("test.shared".to_string(), 5)]
+        );
+    }
+
+    #[test]
+    fn gauge_set_and_add_share_a_slot() {
+        reset();
+        let leaked: &'static str = Box::leak(String::from("test.level").into_boxed_str());
+        gauge("test.level").set(4.0);
+        gauge(leaked).add(1.5);
+        gauge("test.level").add(-0.5);
+        assert_eq!(gauge(leaked).get(), 5.0);
+        gauge(leaked).set(2.0);
+        assert_eq!(gauge("test.level").get(), 2.0);
+        assert_eq!(
+            typed_snapshot().gauges,
+            vec![("test.level".to_string(), 2.0)]
+        );
+    }
+
+    #[test]
+    fn reset_clears_the_address_index() {
+        counter("test.cached").inc();
+        gauge("test.cached.secs").add(1.0);
+        reset();
+        REGISTRY.with(|r| {
+            let r = r.borrow();
+            assert!(r.counters.by_addr.is_empty() && r.counters.addrs == 0);
+            assert!(r.gauges.by_addr.is_empty() && r.gauges.addrs == 0);
+        });
+        assert_eq!(counter("test.cached").get(), 0);
+        counter("test.cached").inc();
+        assert_eq!(snapshot().readings, vec![("test.cached".to_string(), 1.0)]);
+    }
+
+    #[test]
+    fn address_index_growth_keeps_every_slot() {
+        reset();
+        let names: Vec<&'static str> = (0..200)
+            .map(|i| &*Box::leak(format!("test.n{i:03}").into_boxed_str()))
+            .collect();
+        for (i, n) in names.iter().enumerate() {
+            counter(n).add(i as u64);
+        }
+        for (i, n) in names.iter().enumerate() {
+            assert_eq!(counter(n).get(), i as u64);
+        }
+        let snap = snapshot();
+        assert_eq!(snap.readings.len(), 200);
+        assert!(snap.readings.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     #[test]

@@ -28,21 +28,21 @@ fn note_retry(d: &mut SimDisk, backoff: f64) {
     }
 }
 
-/// Member read under an optional retry policy. Transient faults are
-/// retried with metered backoff; the last one propagates if the policy
+/// One member operation under an optional retry policy. Transient faults
+/// are retried with metered backoff; the last one propagates if the policy
 /// runs out (callers decide whether parity can still serve the request).
-fn read_member(
+fn with_retry<T>(
     d: &mut SimDisk,
-    offset: u64,
     policy: Option<RetryPolicy>,
-) -> Result<Block, DevError> {
+    mut op: impl FnMut(&mut SimDisk) -> Result<T, DevError>,
+) -> Result<T, DevError> {
     let Some(policy) = policy else {
-        return d.read(offset);
+        return op(d);
     };
     let attempts = policy.attempts.max(1);
     let mut attempt = 1;
     loop {
-        match d.read(offset) {
+        match op(d) {
             Err(e) if e.is_transient() && attempt < attempts => {
                 note_retry(d, policy.backoff_before(attempt));
                 attempt += 1;
@@ -52,26 +52,26 @@ fn read_member(
     }
 }
 
-/// Member write under an optional retry policy; see [`read_member`].
+/// Member read under an optional retry policy; see [`with_retry`].
+fn read_member(
+    d: &mut SimDisk,
+    offset: u64,
+    policy: Option<RetryPolicy>,
+) -> Result<Block, DevError> {
+    with_retry(d, policy, |d| d.read(offset))
+}
+
+/// Member write under an optional retry policy; see [`with_retry`]. The
+/// block is cloned only when a retry may need it again.
 fn write_member(
     d: &mut SimDisk,
     offset: u64,
     block: Block,
     policy: Option<RetryPolicy>,
 ) -> Result<(), DevError> {
-    let Some(policy) = policy else {
-        return d.write(offset, block);
-    };
-    let attempts = policy.attempts.max(1);
-    let mut attempt = 1;
-    loop {
-        match d.write(offset, block.clone()) {
-            Err(e) if e.is_transient() && attempt < attempts => {
-                note_retry(d, policy.backoff_before(attempt));
-                attempt += 1;
-            }
-            other => return other,
-        }
+    match policy {
+        None => d.write(offset, block),
+        Some(_) => with_retry(d, policy, |d| d.write(offset, block.clone())),
     }
 }
 
@@ -236,7 +236,17 @@ impl Raid4Group {
         let (disk, offset) = self.locate(bno)?;
 
         // Old data: direct read, or reconstruction if this member is down.
-        let old = match read_member(&mut self.data[disk], offset, self.retry) {
+        // While parity is lazy its bytes are never folded in, so the read
+        // is simulated without copying them out (reconstruction leaves
+        // lazy mode, so the degraded branch always has the bytes).
+        let lazy = self.lazy_parity;
+        let old = match with_retry(&mut self.data[disk], self.retry, |d| {
+            if lazy {
+                d.read_access(offset).map(|()| None)
+            } else {
+                d.read(offset).map(Some)
+            }
+        }) {
             Ok(b) => b,
             Err(DevError::Offline) | Err(DevError::Busy { .. }) => {
                 obs::counter("raid.degraded_reads").inc();
@@ -245,7 +255,7 @@ impl Raid4Group {
                     blockdev::BLOCK_SIZE as u64,
                     0.0,
                 );
-                self.reconstruct_block(disk, offset)?
+                Some(self.reconstruct_block(disk, offset)?)
             }
             Err(e) => return Err(e.into()),
         };
@@ -274,8 +284,8 @@ impl Raid4Group {
         // Parity content upkeep (skipped while lazy: the traffic above is
         // still simulated, the bytes are recomputable on demand).
         if !self.lazy_parity {
-            if let Some(p) = self.pending.as_mut() {
-                p.parity.xor_in_place(&old);
+            if let (Some(p), Some(old)) = (self.pending.as_mut(), &old) {
+                p.parity.xor_in_place(old);
                 p.parity.xor_in_place(&block);
             }
         }
@@ -679,6 +689,91 @@ mod tests {
         };
         assert_eq!(parity_writes, 1);
         assert_eq!(g.scrub().unwrap(), 0);
+    }
+
+    /// Writes `bnos` to a fresh 4+1 group, first handing every member to
+    /// `arm` (faults, failure). With `lazy` the members are reached
+    /// directly so parity stays lazy and the old-data read goes through
+    /// [`SimDisk::read_access`]; otherwise parity goes eager first and the
+    /// old data comes from a plain read. Returns the write outcomes, every
+    /// obs reading and each member's stats.
+    fn lazy_vs_eager(
+        lazy: bool,
+        policy: Option<RetryPolicy>,
+        arm: impl Fn(usize, &mut SimDisk),
+        bnos: &[u64],
+    ) -> (Vec<Result<(), RaidError>>, obs::MetricsSnapshot, String) {
+        obs::metrics::reset();
+        let mut g = Raid4Group::new(4, 32, DiskPerf::f630_drive());
+        if !lazy {
+            g.materialize_parity();
+        }
+        for (i, d) in g.data.iter_mut().chain([&mut g.parity]).enumerate() {
+            arm(i, d);
+        }
+        if let Some(p) = policy {
+            g.set_retry_policy(p);
+        }
+        assert_eq!(g.lazy_parity, lazy);
+        let outcomes = bnos
+            .iter()
+            .map(|&b| g.write(b, Block::Synthetic(b + 1)))
+            .collect();
+        let members: Vec<DeviceStats> = g
+            .data
+            .iter()
+            .chain([&g.parity])
+            .map(|d| d.stats())
+            .collect();
+        (outcomes, obs::metrics::snapshot(), format!("{members:?}"))
+    }
+
+    #[test]
+    fn lazy_old_data_read_keeps_hard_error() {
+        // Logical block 4 lives on disk 0 at offset 1.
+        let spec = simkit::faults::FaultSpec::builder()
+            .disk_fail_read(1)
+            .build();
+        let arm = |i: usize, d: &mut SimDisk| {
+            if i == 0 {
+                d.faults_mut()
+                    .arm(&spec.disk, simkit::rng::SimRng::seed_from_u64(0));
+            }
+        };
+        let lazy = lazy_vs_eager(true, None, arm, &[0, 4, 5]);
+        assert_eq!(lazy.0[1], Err(RaidError::Dev(DevError::Io { bno: 1 })));
+        assert_eq!(lazy, lazy_vs_eager(false, None, arm, &[0, 4, 5]));
+    }
+
+    #[test]
+    fn lazy_old_data_read_on_offline_member_takes_degraded_branch() {
+        let arm = |i: usize, d: &mut SimDisk| {
+            if i == 1 {
+                d.fail();
+            }
+        };
+        let bnos = [0, 1, 5, 2];
+        let lazy = lazy_vs_eager(true, None, arm, &bnos);
+        assert!(lazy.0.iter().all(|r| r.is_ok()), "{:?}", lazy.0);
+        assert_eq!(lazy.1.get("raid.degraded_reads"), 2.0);
+        assert_eq!(lazy, lazy_vs_eager(false, None, arm, &bnos));
+    }
+
+    #[test]
+    fn lazy_old_data_read_draws_and_retries_like_a_plain_read() {
+        let spec = simkit::faults::FaultSpec::builder()
+            .disk_read_soft(0.3)
+            .build();
+        let arm = |i: usize, d: &mut SimDisk| {
+            let rng = simkit::rng::SimRng::seed_from_u64(90 + i as u64);
+            d.faults_mut().arm(&spec.disk, rng);
+        };
+        let bnos: Vec<u64> = (0..128).collect();
+        let policy = Some(RetryPolicy::media_default());
+        let lazy = lazy_vs_eager(true, policy, arm, &bnos);
+        assert!(lazy.1.get("raid.retries") > 0.0);
+        assert!(lazy.1.get("disk.soft_faults") > 0.0);
+        assert_eq!(lazy, lazy_vs_eager(false, policy, arm, &bnos));
     }
 
     #[test]

@@ -144,14 +144,14 @@ impl InodeMem {
     /// The directory map, or `WrongType`-flavored `Invalid` if this inode
     /// is not a directory (the `ftype == Dir` ⟺ `dir.is_some()` invariant).
     pub(crate) fn dir_ref(&self) -> Result<&BTreeMap<String, Ino>, WaflError> {
-        self.dir.as_ref().ok_or(WaflError::Invalid {
+        self.dir.as_ref().ok_or_else(|| WaflError::Invalid {
             reason: "inode has no directory contents".into(),
         })
     }
 
     /// Mutable counterpart of [`InodeMem::dir_ref`].
     pub(crate) fn dir_mut(&mut self) -> Result<&mut BTreeMap<String, Ino>, WaflError> {
-        self.dir.as_mut().ok_or(WaflError::Invalid {
+        self.dir.as_mut().ok_or_else(|| WaflError::Invalid {
             reason: "inode has no directory contents".into(),
         })
     }

@@ -83,7 +83,7 @@ impl Wafl {
         self.inodes
             .get(ino as usize)
             .and_then(|s| s.as_ref())
-            .ok_or(WaflError::NotFound {
+            .ok_or_else(|| WaflError::NotFound {
                 what: format!("inode {ino}"),
             })
     }
@@ -92,7 +92,7 @@ impl Wafl {
         self.inodes
             .get_mut(ino as usize)
             .and_then(|s| s.as_mut())
-            .ok_or(WaflError::NotFound {
+            .ok_or_else(|| WaflError::NotFound {
                 what: format!("inode {ino}"),
             })
     }

@@ -98,9 +98,12 @@ impl<'a> SnapView<'a> {
             let block = self.read_raw(bno)?;
             self.cached_ino_block = Some((blk_idx, block.materialize()));
         }
-        let (_, bytes) = self.cached_ino_block.as_ref().ok_or(WaflError::Invalid {
-            reason: "inode block cache empty after fill".into(),
-        })?;
+        let (_, bytes) = self
+            .cached_ino_block
+            .as_ref()
+            .ok_or_else(|| WaflError::Invalid {
+                reason: "inode block cache empty after fill".into(),
+            })?;
         let off = (ino as u64 % INODES_PER_BLOCK) as usize * INODE_SIZE;
         let di = DiskInode::read_from(&bytes[off..off + INODE_SIZE]);
         Ok(di.ftype.map(|_| di))
